@@ -14,6 +14,16 @@ and exposes two calls:
                             parallel window search inside
                             :class:`~repro.core.scar.SCARScheduler`.
 
+The cost database lives as long as the session: every scheduler,
+evaluator and kernel of every request reads the same instance, so a
+layer cost is computed once per session rather than once per request.
+Requests fanned out to a :meth:`Session.process_pool` (``submit_many``
+and the service's process job backend) are the exception: each starts
+from an empty database in its worker, so its cost does not depend on
+which worker ran which earlier request.  A request's own ``jobs=N``
+engine pool receives a pickled copy of the session database with its
+scheduler.
+
 Results are memoized on :meth:`ScheduleRequest.cache_key`, which covers
 every request field including ``jobs`` and the cache flags, so runs with
 different parallelism or caching settings never alias.  The memo is
@@ -154,6 +164,10 @@ class Session:
                 self._databases[clock_hz] = \
                     LayerCostDatabase(clock_hz=clock_hz)
             return self._databases[clock_hz]
+
+    def _drop_databases(self) -> None:
+        with self._mutex:
+            self._databases.clear()
 
     @staticmethod
     def _scenario_key(request: ScheduleRequest) -> str:
@@ -349,7 +363,8 @@ class Session:
 
         Each worker process builds a fresh session over the same
         registry and default backend; submit requests to it with
-        :func:`run_pooled_request`.  Shared by :meth:`submit_many` and
+        :func:`run_pooled_request`, which gives every request an empty
+        cost database.  Shared by :meth:`submit_many` and
         the service's process job backend; the picklability caveats in
         :meth:`submit_many` apply.  Workers spawn lazily, so building
         the pool is cheap until the first submit.
@@ -436,6 +451,11 @@ def _batch_worker_init(registry: SchedulerRegistry | None,
 
 def _batch_worker_run(request: ScheduleRequest) -> ScheduleResult:
     assert _WORKER_SESSION is not None
+    # A pool hands each request to whichever worker is free, so a cost
+    # database kept across requests would make a request's cost depend
+    # on which earlier requests its worker happened to run: every pooled
+    # request starts from an empty one.
+    _WORKER_SESSION._drop_databases()
     result = _WORKER_SESSION.submit(request)
     # The raw candidate population stays in the worker: it is excluded
     # from equality/wire anyway and would dominate the IPC payload.

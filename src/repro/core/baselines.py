@@ -44,7 +44,8 @@ class StandaloneScheduler:
     def __init__(self, mcm: MCM,
                  database: LayerCostDatabase | None = None) -> None:
         self.mcm = mcm
-        self.database = database or LayerCostDatabase(clock_hz=mcm.clock_hz)
+        self.database = database if database is not None \
+            else LayerCostDatabase(clock_hz=mcm.clock_hz)
 
     def schedule(self, scenario: Scenario) -> BaselineResult:
         if len(scenario) > self.mcm.num_chiplets:
@@ -76,7 +77,8 @@ class NNBatonScheduler:
                  database: LayerCostDatabase | None = None) -> None:
         self.mcm = mcm
         self.start_node = start_node
-        self.database = database or LayerCostDatabase(clock_hz=mcm.clock_hz)
+        self.database = database if database is not None \
+            else LayerCostDatabase(clock_hz=mcm.clock_hz)
 
     def schedule(self, scenario: Scenario) -> BaselineResult:
         windows = []

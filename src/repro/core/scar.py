@@ -157,7 +157,8 @@ class SCARScheduler:
         self.objective = objective or edp_objective()
         self.nsplits = nsplits
         self.budget = budget or SearchBudget()
-        self.database = database or LayerCostDatabase(clock_hz=mcm.clock_hz)
+        self.database = database if database is not None \
+            else LayerCostDatabase(clock_hz=mcm.clock_hz)
         self.packing = packing
         self.provisioning = provisioning
         self.max_nodes_per_model = max_nodes_per_model

@@ -3,15 +3,15 @@
 The paper's MCM-Reconfig engine consumes per-layer latency/energy figures
 "offline-analyzed by MAESTRO" for each chiplet dataflow class.  This module
 provides that database: a memoized front-end over
-:func:`repro.dataflow.cost.compute_layer_cost`, keyed by the *class* of a
-chiplet (its resource tuple), plus the Eq. (1) expectation helpers::
+:func:`repro.dataflow.cost.compute_layer_cost`, keyed by a layer's
+cost-relevant dimensions and the *class* of a chiplet (its resource
+tuple), plus the Eq. (1) expectation helpers::
 
     E(Lat(l)) = sum_i (n_dfi / |C|) * Lat(l -> i)
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Protocol
 
 from repro.dataflow.cost import LayerCost, compute_layer_cost
@@ -34,33 +34,24 @@ class ChipletLike(Protocol):
     mem_gbps: float
 
 
-@dataclass(frozen=True)
-class _ChipletKey:
-    dataflow: str
-    num_pes: int
-    sram_bytes: int
-    noc_gbps: float
-    mem_gbps: float
-
-    @classmethod
-    def of(cls, chiplet: ChipletLike) -> "_ChipletKey":
-        return cls(chiplet.dataflow, chiplet.num_pes, chiplet.sram_bytes,
-                   chiplet.noc_gbps, chiplet.mem_gbps)
-
-
-def _layer_key(layer: Layer) -> tuple:
-    return (layer.op, layer.n, layer.k, layer.c, layer.y, layer.x, layer.r,
-            layer.s, layer.stride, layer.bytes_per_element)
-
-
 class LayerCostDatabase:
     """Memoized per-(layer, chiplet-class) cost store.
 
     One database instance corresponds to one operating point (clock, energy
-    table); experiments create one per hardware configuration and share it
-    across all engines -- lookups after the first are dictionary hits, which
-    is what makes the large searches tractable (the paper's "offline
-    analysis" step).
+    table).  A :class:`~repro.api.session.Session` keeps one per clock
+    domain for its whole life and hands it to every scheduler, evaluator
+    and kernel of every request, so each distinct (layer shape, batch,
+    chiplet class) is computed once per session and every later lookup is
+    a dictionary hit (the paper's "offline analysis" step); process-pool
+    workers start each request from an empty one.  Entries are
+    never evicted: the key space is bounded by distinct layer shapes x
+    batch divisors x chiplet classes (3,264 for the whole Table III grid).
+
+    The cache key is one flat tuple of the layer's ten cost-relevant
+    fields followed by the chiplet's five class fields -- exactly the
+    arguments :func:`~repro.dataflow.cost.compute_layer_cost` reads besides
+    the database's own clock and energy table.  Layer names are not part
+    of it, so same-shaped layers share an entry.
     """
 
     def __init__(self, clock_hz: float = 500e6,
@@ -74,9 +65,17 @@ class LayerCostDatabase:
 
     def cost(self, layer: Layer, chiplet: ChipletLike) -> LayerCost:
         """Intra-chiplet cost of ``layer`` on ``chiplet``'s class."""
-        key = (_layer_key(layer), _ChipletKey.of(chiplet))
+        key = (layer.op, layer.n, layer.k, layer.c, layer.y, layer.x,
+               layer.r, layer.s, layer.stride, layer.bytes_per_element,
+               chiplet.dataflow, chiplet.num_pes, chiplet.sram_bytes,
+               chiplet.noc_gbps, chiplet.mem_gbps)
         cached = self._cache.get(key)
         if cached is None:
+            # Unlocked check-then-insert is safe when threads share one
+            # database (``scar serve --job-backend thread``): the value is
+            # a pure function of the key, so a racing duplicate computes
+            # and stores an equal LayerCost, and a reader sees either no
+            # entry or a complete one.
             dataflow = by_name(chiplet.dataflow)
             cached = compute_layer_cost(
                 layer, dataflow,

@@ -47,7 +47,12 @@ class Chiplet:
 
     @property
     def class_key(self) -> tuple:
-        """Hashable chiplet-class identity (used by the cost database)."""
+        """Hashable chiplet-class identity.
+
+        Keys the per-class placement tables and affinity scores of the
+        engine; :class:`~repro.dataflow.database.LayerCostDatabase` reads
+        the same five fields directly into its flat cache key.
+        """
         return (self.dataflow, self.num_pes, self.sram_bytes, self.noc_gbps,
                 self.mem_gbps)
 

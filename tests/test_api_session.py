@@ -8,6 +8,8 @@ the acceptance gate of the API redesign.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.api import (
@@ -304,6 +306,73 @@ class TestSubmitMany:
     def test_bad_jobs_rejected(self, requests):
         with pytest.raises(ValueError):
             Session().submit_many(requests, jobs=0)
+
+
+@pytest.fixture
+def layer_cost_calls(monkeypatch):
+    """One entry per ``compute_layer_cost`` call made by a database."""
+    import repro.dataflow.database as database_module
+
+    calls = []
+    compute = database_module.compute_layer_cost
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return compute(*args, **kwargs)
+
+    monkeypatch.setattr(database_module, "compute_layer_cost", counting)
+    return calls
+
+
+class TestSessionDatabase:
+    """The session's cost database is the one every request reads."""
+
+    def test_repeat_submit_computes_no_layer_cost(self, layer_cost_calls):
+        pytest.importorskip("numpy")
+        session = Session()
+        request = ScheduleRequest(scenario_id=3, template="het_cross_6x6",
+                                  seg_search="evolutionary",
+                                  eval_mode="vector", memoize=False)
+        first = session.submit(request)
+        assert layer_cost_calls
+        del layer_cost_calls[:]
+        second = session.submit(request)
+        assert layer_cost_calls == []
+        assert second is not first
+        assert second.same_payload(first)
+
+    def test_pooled_requests_start_from_an_empty_database(
+            self, monkeypatch, layer_cost_calls, tiny_scenario,
+            small_budget):
+        """A pool worker computes every request's costs afresh, so what
+        a request costs does not depend on which worker ran it."""
+        import repro.api.session as session_module
+
+        monkeypatch.setattr(session_module, "_WORKER_SESSION", None)
+        session_module._batch_worker_init(None)
+        request = ScheduleRequest.for_scenario(
+            tiny_scenario, template="het_sides_3x3", policy="scar",
+            budget=small_budget, nsplits=2, memoize=False)
+        first = session_module.run_pooled_request(request)
+        cold = len(layer_cost_calls)
+        second = session_module.run_pooled_request(request)
+        assert cold > 0
+        assert len(layer_cost_calls) == 2 * cold
+        assert second.same_payload(first)
+
+    def test_process_backend_on_warm_database_matches_serial(
+            self, tiny_scenario, small_budget):
+        """A request's own ``jobs=2`` engine pool is seeded with the warm
+        session database; its result is the serial one, bit for bit."""
+        session = Session()
+        request = ScheduleRequest.for_scenario(
+            tiny_scenario, template="het_sides_3x3", policy="scar",
+            budget=small_budget, nsplits=2, memoize=False)
+        serial = session.submit(request)
+        pooled_request = request.replace(jobs=2, backend="process")
+        pooled = session.submit(pooled_request)
+        assert pooled.same_payload(
+            dataclasses.replace(serial, request=pooled_request))
 
 
 class TestLegacyShim:
