@@ -11,17 +11,16 @@ correctness actually rests on:
 SCAR001   lock discipline: ``# guarded by: <lock>`` state only under
           ``with self.<lock>`` (:mod:`repro.analysis.locks`)
 SCAR002   determinism: no process-wide RNG, wall-clock reads or bare-set
-          iteration in kernel/sweep paths
-          (:mod:`repro.analysis.determinism`)
+          iteration in kernel/sweep/sim paths (:mod:`repro.analysis.taint`)
 SCAR003   wire envelope: document classes parse through
           ``wire.loads_document``/``check_envelope`` and emit ``kind``
           (:mod:`repro.analysis.envelope`)
 SCAR004   error codes: the repro.errors / _ERROR_CODES / http mapping
           stays closed and ordered (:mod:`repro.analysis.errormap`)
 SCAR005   registry drift: registered policy/backend names stay CLI-
-          reachable and documented (:mod:`repro.analysis.registries`)
+          reachable and documented (:mod:`repro.analysis.deadsyms`)
 SCAR006   lock-order deadlocks: the inter-procedural lock-acquisition
-          graph stays acyclic (:mod:`repro.analysis.deadlock`)
+          graph stays acyclic (:mod:`repro.analysis.locks`)
 SCAR007   RNG/wall-clock taint: nondeterministic values never flow
           into engine/sweep/sim/workloads call sites
           (:mod:`repro.analysis.taint`)
@@ -35,6 +34,10 @@ SCAR010   hot-path allocation: no per-iteration allocations in the
           innermost loops of ``# scar: hot`` modules
           (:mod:`repro.analysis.hotpath`)
 ========  =================================================================
+
+Each file is walked for facts once (:func:`repro.analysis.graph.\
+summarize`); every checker except the per-file SCAR003 and SCAR010
+reads those facts from the whole-program model.
 
 Findings suppress per line with ``# scar: noqa[CODE]``; reports render
 as text, GitHub annotations or the ``kind: "lint_report"`` wire
@@ -56,14 +59,11 @@ from repro.analysis.core import (
 
 # Importing the checker modules registers them (same pattern as the
 # built-in policies in repro.api.policies).
-from repro.analysis import deadlock as _deadlock  # noqa: F401
 from repro.analysis import deadsyms as _deadsyms  # noqa: F401
-from repro.analysis import determinism as _determinism  # noqa: F401
 from repro.analysis import envelope as _envelope  # noqa: F401
 from repro.analysis import errormap as _errormap  # noqa: F401
 from repro.analysis import hotpath as _hotpath  # noqa: F401
 from repro.analysis import locks as _locks  # noqa: F401
-from repro.analysis import registries as _registries  # noqa: F401
 from repro.analysis import schema as _schema  # noqa: F401
 from repro.analysis import taint as _taint  # noqa: F401
 from repro.analysis.cache import LintCache

@@ -11,9 +11,10 @@ Checkers come in two flavours:
 
 * per-file checkers implement :meth:`Checker.check` and run once per
   :class:`SourceFile` they :meth:`apply to <Checker.applies_to>`;
-* project checkers implement :meth:`Checker.check_project` and run once
-  over the whole file set (cross-file invariants, e.g. the
-  exception-to-wire-code table).
+* program checkers implement :meth:`Checker.check_program` and run
+  once over the whole-program model built from every file's summary
+  (cross-file invariants, and per-file facts the summary already
+  records).
 
 New checkers subclass :class:`Checker`, pick the next free ``SCARnnn``
 code and register with :func:`register_checker`; the runner
@@ -101,6 +102,12 @@ def module_name_for(path: str | Path) -> str:
     return name
 
 
+def in_scope(module: str, prefixes: Sequence[str]) -> bool:
+    """Is ``module`` one of ``prefixes`` or inside one (exact dots)?"""
+    return any(module == prefix or module.startswith(prefix + ".")
+               for prefix in prefixes)
+
+
 class SourceFile:
     """One parsed python source: path, module identity, AST, noqa map."""
 
@@ -138,11 +145,6 @@ class SourceFile:
         if 1 <= lineno <= len(self.lines):
             return self.lines[lineno - 1]
         return ""
-
-    def node_lines(self, node: ast.AST) -> str:
-        """The source lines a node spans, joined (comments included)."""
-        end = getattr(node, "end_lineno", node.lineno)
-        return "\n".join(self.lines[node.lineno - 1:end])
 
     @property
     def content_hash(self) -> str:
@@ -217,16 +219,14 @@ class Checker:
     """Base class of one invariant's analysis pass.
 
     Subclasses set ``code``/``name``/``description`` and implement
-    :meth:`check` (per file), :meth:`check_program` (once over the
-    whole-program model -- see :mod:`repro.analysis.graph`) or the
-    legacy :meth:`check_project` (once over the materialized file
-    set).  ``applies_to`` scopes per-file checkers to the modules
-    whose invariant they guard.
+    :meth:`check` (per file) or :meth:`check_program` (once over the
+    whole-program model -- see :mod:`repro.analysis.graph`).
+    ``applies_to`` scopes per-file checkers to the modules whose
+    invariant they guard.
 
     Per-file results are cacheable by content hash; program passes run
-    every lint but read the (cached) per-file summaries, so prefer
-    ``check_program`` over ``check_project`` -- the latter forces every
-    file to be re-parsed even on warm incremental runs.
+    every lint but read the (cached) per-file summaries, parsing a
+    source only when they ask for it.
     """
 
     code: str = ""
@@ -244,10 +244,6 @@ class Checker:
 ProgramModel` (summaries always available, sources parsed lazily)."""
         return ()
 
-    def check_project(self, sources: Sequence[SourceFile],
-                      root: Path) -> Iterable[Finding]:
-        return ()
-
     @classmethod
     def is_per_file(cls) -> bool:
         """True when this checker implements the per-file pass."""
@@ -256,8 +252,7 @@ ProgramModel` (summaries always available, sources parsed lazily)."""
     @classmethod
     def is_program(cls) -> bool:
         """True when this checker implements a whole-program pass."""
-        return (cls.check_program is not Checker.check_program
-                or cls.check_project is not Checker.check_project)
+        return cls.check_program is not Checker.check_program
 
 
 _CHECKERS: dict[str, type[Checker]] = {}

@@ -1,6 +1,25 @@
-"""SCAR009: dead symbols -- exports, registrations and suppressions.
+"""SCAR005 and SCAR009: registry drift and dead symbols.
 
-Three closure properties over the whole program:
+Policies, engine backends and topologies register by name through
+decorators (``@register_policy("scar")``, ``@register_backend(
+"process")``).  Both checkers read those registrations from the
+summaries and ``repro.cli``'s text through one pass
+(:func:`_registrations`), so a warm incremental lint re-parses nothing
+for them.
+
+**SCAR005** -- a name that is registered but not selectable from the
+CLI, or not mentioned anywhere in README.md/DESIGN.md, is drift: users
+cannot discover it and docs rot silently.  The CLI exposes each
+registry *dynamically* (``--policy`` choices come from
+``DEFAULT_REGISTRY.names()``, ``--backend`` choices from
+``backend_names()``), so CLI reachability is checked structurally: the
+registry's choices call must appear in ``repro.cli``.  Documentation
+coverage is literal: each registered name must appear in README.md or
+DESIGN.md under the lint root.  Without ``repro.cli`` in the checked
+set the CLI check is skipped, and without README/DESIGN under the root
+the docs check is skipped.
+
+**SCAR009** -- three closure properties over the whole program:
 
 * every name a module lists in ``__all__`` is imported somewhere else
   in the checked tree (tests count: a public API consumed only by its
@@ -26,12 +45,35 @@ and registry checks are skipped.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Sequence
+import re
+from typing import Any, Iterable, Iterator, Sequence
 
 from repro.analysis.core import Checker, Finding, register_checker
-from repro.analysis.graph import REGISTRARS
+from repro.analysis.graph import REGISTRARS, FileSummary
 
 _CLI_MODULE = "repro.cli"
+_DOC_FILES = ("README.md", "DESIGN.md")
+
+#: registry label -> the dynamic-choices expression the CLI must
+#: contain for names of this registry to be selectable.
+_CHOICES_EXPRS: dict[str, str] = {
+    "policy": "DEFAULT_REGISTRY.names()",
+    "backend": "backend_names()",
+    "topology": "topology_names()",
+}
+
+
+def _registrations(program: Any) -> tuple[
+        str | None, Iterator[tuple[FileSummary, dict[str, Any], str]]]:
+    """``repro.cli``'s text (``None`` when it is not linted) and every
+    registration as ``(summary, registration, registry label)``."""
+    cli_text = program.text(_CLI_MODULE) \
+        if _CLI_MODULE in program.modules else None
+    registrations = (
+        (summary, registration, REGISTRARS[registration["registrar"]])
+        for module, summary in sorted(program.summaries.items())
+        for registration in summary.registrations)
+    return cli_text, registrations
 
 
 def _is_test_module(summary: Any) -> bool:
@@ -117,35 +159,65 @@ class DeadSymbolChecker(Checker):
                     line=summary.exports_line or 1, col=0)
 
     def _dead_registrations(self, program: Any) -> Iterable[Finding]:
-        reachable_texts: list[str] = []
-        cli_text = program.text(_CLI_MODULE) \
-            if _CLI_MODULE in program.modules else None
+        cli_text, registrations = _registrations(program)
         if cli_text is None:
             return  # SCAR005-style degradation without the CLI
-        reachable_texts.append(cli_text)
-        for module in sorted(program.summaries):
-            summary = program.summaries[module]
-            if _is_test_module(summary):
-                text = program.text(module)
-                if text is not None:
-                    reachable_texts.append(text)
-        for module in sorted(program.summaries):
-            summary = program.summaries[module]
-            for registration in summary.registrations:
-                name = registration["name"]
-                label = REGISTRARS.get(registration["registrar"],
-                                       "plugin")
-                quoted = (f'"{name}"', f"'{name}'")
-                if any(q in text for text in reachable_texts
-                       for q in quoted):
-                    continue
-                yield Finding(
+        reachable_texts = [cli_text] + [
+            program.text(module)
+            for module, summary in sorted(program.summaries.items())
+            if _is_test_module(summary)]
+        for summary, registration, label in registrations:
+            name = registration["name"]
+            quoted = (f'"{name}"', f"'{name}'")
+            if any(q in text for text in reachable_texts
+                   for q in quoted):
+                continue
+            yield Finding(
+                code=self.code,
+                message=(f"{label} {name!r} is registered but "
+                         f"never named in repro.cli or any test; "
+                         f"it is unreachable dead weight"),
+                path=summary.path, line=registration["line"],
+                col=registration["col"])
+
+
+@register_checker
+class RegistryDriftChecker(Checker):
+    code = "SCAR005"
+    name = "registry-drift"
+    description = ("every @register_policy/@register_backend/"
+                   "@register_topology name is reachable from the CLI "
+                   "choices and mentioned in README.md/DESIGN.md")
+
+    def check_program(self, program: Any) -> Iterable[Finding]:
+        cli_text, registrations = _registrations(program)
+        docs = "\n".join(
+            (program.root / name).read_text(encoding="utf-8")
+            for name in _DOC_FILES
+            if (program.root / name).is_file())
+        findings: list[Finding] = []
+        for summary, registration, label in registrations:
+            name = registration["name"]
+            choices_expr = _CHOICES_EXPRS[label]
+            if cli_text is not None and choices_expr not in cli_text:
+                findings.append(Finding(
+                    code=self.code,
+                    message=(f"{label} {name!r} is not reachable from "
+                             f"the CLI: repro.cli never builds choices "
+                             f"from {choices_expr}"),
+                    path=summary.path, line=registration["line"],
+                    col=registration["col"]))
+            if docs and not re.search(
+                    rf"(?<![A-Za-z0-9_]){re.escape(name)}"
+                    rf"(?![A-Za-z0-9_])", docs):
+                findings.append(Finding(
                     code=self.code,
                     message=(f"{label} {name!r} is registered but "
-                             f"never named in repro.cli or any test; "
-                             f"it is unreachable dead weight"),
+                             f"never mentioned in "
+                             f"{' / '.join(_DOC_FILES)}"),
                     path=summary.path, line=registration["line"],
-                    col=registration["col"])
+                    col=registration["col"]))
+        return findings
 
 
 def orphan_noqa_findings(

@@ -2,17 +2,18 @@
 
 One pass over each file (:func:`summarize`) distills its AST into a
 JSON-serializable :class:`FileSummary`: the module's imports, exports,
-registry registrations, class/function inventory, per-function lock
-acquisitions and call sites, taint facts and wire-schema fragments.
+registry registrations, nondeterminism reads, class/function inventory
+with lock guards, per-function lock regions, guarded-state accesses and
+call sites, taint facts and wire-schema fragments.  It is the only
+place a file is walked for facts; every program checker reads them.
 Summaries are what the incremental cache persists -- a warm re-lint
 rebuilds the whole-program view without re-parsing unchanged files.
 
 :class:`ProgramModel` stitches the summaries together:
 
-* the **import graph** (module -> project modules it imports) and its
-  reverse (:meth:`ProgramModel.dependents`), which drives incremental
-  invalidation -- a changed file dirties itself plus everything that
-  imports it;
+* the **import graph** (:meth:`FileSummary.project_imports`), which
+  drives incremental invalidation -- a changed file dirties itself
+  plus its direct importers;
 * a **symbol table** (module-level defs, classes and methods,
   ``__all__`` exports, ``@register_*`` registrations);
 * the **call graph**: dotted call paths resolved through import
@@ -30,6 +31,7 @@ to wrong edges, so program checkers err on the quiet side.
 from __future__ import annotations
 
 import ast
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Iterator, Sequence
@@ -38,12 +40,18 @@ from repro.analysis.core import SourceFile
 
 #: Bumped whenever summary extraction changes shape; cached entries
 #: from another version are discarded wholesale.
-SUMMARY_VERSION = 1
+SUMMARY_VERSION = 2
 
 #: ``threading`` constructors whose instances count as locks.  The
 #: reentrant ones may legally self-nest; plain ``Lock`` may not.
 _LOCK_CTORS = frozenset({"Lock", "RLock", "Condition"})
 _REENTRANT_CTORS = frozenset({"RLock", "Condition"})
+
+#: ``# guarded by: <lock>`` on an ``__init__`` assignment (SCAR001).
+_GUARD_COMMENT_RE = re.compile(r"#\s*guarded by:\s*(?P<lock>\w+)")
+
+#: The lock a module-level ``_GUARDED`` name set implies.
+_DEFAULT_LOCK = "_lock"
 
 
 # -- call descriptors --------------------------------------------------------
@@ -108,6 +116,8 @@ class FileSummary:
     classes: dict[str, dict[str, Any]] = field(default_factory=dict)
     functions: dict[str, dict[str, Any]] = field(default_factory=dict)
     uses: list[list[str]] = field(default_factory=list)
+    nondeterminism: list[dict[str, Any]] = field(default_factory=list)
+    unguarded: list[dict[str, Any]] = field(default_factory=list)
     emitters: list[dict[str, Any]] = field(default_factory=list)
     noqa_lines: dict[str, list[str]] = field(default_factory=dict)
     hot_pragma: bool = False
@@ -122,6 +132,8 @@ class FileSummary:
             "exports_line": self.exports_line,
             "registrations": self.registrations, "classes": self.classes,
             "functions": self.functions, "uses": self.uses,
+            "nondeterminism": self.nondeterminism,
+            "unguarded": self.unguarded,
             "emitters": self.emitters, "noqa_lines": self.noqa_lines,
             "hot_pragma": self.hot_pragma,
         }
@@ -180,6 +192,7 @@ def _annotation_name(node: ast.expr | None) -> str | None:
 
 
 def _self_attr(node: ast.AST) -> str | None:
+    """``self.<attr>`` attribute name, else ``None``."""
     if isinstance(node, ast.Attribute) \
             and isinstance(node.value, ast.Name) \
             and node.value.id == "self":
@@ -197,12 +210,92 @@ def _const_str(node: ast.expr | None,
     return None
 
 
+# -- nondeterminism sources (SCAR002 bans some, SCAR007 taints all) ----------
+
+_TIMERS = frozenset({
+    "monotonic", "monotonic_ns", "perf_counter", "perf_counter_ns",
+    "process_time", "process_time_ns",
+})
+_DATETIME_NOW = frozenset({"now", "utcnow", "today"})
+_UUIDS = frozenset({"uuid1", "uuid4"})
+
+#: Import bindings of one file: ``{bound name: (module, original attr
+#: or None)}``.  ``import time`` binds ``time -> ("time", None)``;
+#: ``from time import monotonic as mono`` binds ``mono -> ("time",
+#: "monotonic")``.
+Bindings = dict[str, tuple[str, str | None]]
+
+
+def _source_kind(module: str, attrs: Sequence[str]) -> str | None:
+    """What nondeterminism reading ``module.<attrs>`` yields, if any.
+
+    ``"rng"``: the process-wide ``random`` functions (constructing a
+    seeded ``random.Random`` is clean); ``"wall-clock"``:
+    ``time.time``/``time_ns``, ``datetime.now``/``utcnow``/``today``;
+    ``"timer"``: ``time.monotonic``/``perf_counter``/``process_time``;
+    ``"urandom"``: ``os.urandom``; ``"uuid"``: ``uuid.uuid1``/``uuid4``.
+    """
+    if not attrs:
+        return None
+    head = attrs[0]
+    if module == "random":
+        return None if head == "Random" else "rng"
+    if module == "time":
+        if head in ("time", "time_ns"):
+            return "wall-clock"
+        return "timer" if head in _TIMERS else None
+    if module == "datetime":
+        return "wall-clock" if attrs[-1] in _DATETIME_NOW else None
+    if module == "os":
+        return "urandom" if head == "urandom" else None
+    if module == "uuid":
+        return "uuid" if head in _UUIDS else None
+    return None
+
+
+def source_read(path: Sequence[str],
+                bindings: Bindings) -> tuple[str, str] | None:
+    """``(kind, "module.attr")`` when a dotted name reads a source.
+
+    ``path`` is rooted at an import binding (``["time", "time"]``,
+    ``["datetime", "datetime", "now"]``); names bound any other way
+    read nothing.
+    """
+    head = bindings.get(path[0])
+    if head is None:
+        return None
+    module, original = head
+    attrs = ([original] if original is not None else []) + list(path[1:])
+    kind = _source_kind(module, attrs)
+    return None if kind is None else (kind, f"{module}.{attrs[-1]}")
+
+
 # -- extraction walkers ------------------------------------------------------
 
+#: registrar name -> registry label (shared with SCAR005/SCAR009).
+REGISTRARS: dict[str, str] = {
+    "register_policy": "policy",
+    "register_backend": "backend",
+    "register_topology": "topology",
+}
 
-def _collect_module_level(source: SourceFile,
-                          summary: FileSummary) -> None:
-    """Imports, constants, ``__all__`` and top-level symbol inventory."""
+
+def _collect_walked(source: SourceFile, summary: FileSummary
+                    ) -> tuple[Bindings, list[ast.ClassDef]]:
+    """The one whole-tree walk: imports, registrations, attribute uses
+    and nondeterminism sites.  Returns the file's import bindings
+    (absolute imports, later bindings win) and every class, nested
+    ones included."""
+    bindings: Bindings = {}
+    classes: list[ast.ClassDef] = []
+    chains: list[tuple[tuple[str, ...], ast.Attribute]] = []
+    seen: set[tuple[str, ...]] = set()
+    sites = summary.nondeterminism
+
+    def site(kind: str, what: str, node: ast.AST) -> None:
+        sites.append({"kind": kind, "what": what, "line": node.lineno,
+                      "col": node.col_offset})
+
     for node in ast.walk(source.tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
@@ -210,6 +303,7 @@ def _collect_module_level(source: SourceFile,
                 target = alias.name if alias.asname else \
                     alias.name.split(".")[0]
                 summary.imports[bound] = target
+                bindings[bound] = (target, None)
                 if alias.asname is None and "." in alias.name:
                     # `import a.b` binds `a` but imports a.b: record
                     # the full target as a dependency-only edge.
@@ -226,6 +320,85 @@ def _collect_module_level(source: SourceFile,
                     continue
                 summary.from_imports.append(
                     [target, alias.name, alias.asname or alias.name])
+                if node.level:
+                    continue
+                bindings[alias.asname or alias.name] = (target, alias.name)
+                kind = _source_kind(target, [alias.name])
+                if kind is not None:
+                    site(kind, f"from {target} import {alias.name}", node)
+        elif isinstance(node, ast.Call):
+            func = node.func
+            registrar = func.id if isinstance(func, ast.Name) else (
+                func.attr if isinstance(func, ast.Attribute) else None)
+            if registrar in REGISTRARS and node.args \
+                    and isinstance(node.args[0], ast.Constant) \
+                    and isinstance(node.args[0].value, str):
+                summary.registrations.append(
+                    {"registrar": registrar, "name": node.args[0].value,
+                     "line": node.lineno, "col": node.col_offset})
+        elif isinstance(node, ast.Attribute):
+            parts: list[str] = [node.attr]
+            inner = node.value
+            while isinstance(inner, ast.Attribute):
+                parts.append(inner.attr)
+                inner = inner.value
+            if not isinstance(inner, ast.Name) or inner.id == "self":
+                continue
+            parts.append(inner.id)
+            path = tuple(reversed(parts))
+            chains.append((path, node))
+            # Attribute loads rooted at import aliases are the
+            # export-usage facts: ``wire.WIRE_VERSION`` is resolved
+            # later, once the model knows the project's modules.
+            if isinstance(node.ctx, ast.Load) and path not in seen:
+                seen.add(path)
+                summary.uses.append(list(path))
+        elif isinstance(node, (ast.For, ast.AsyncFor, ast.comprehension)) \
+                and isinstance(node.iter, ast.Set):
+            site("set-order", "comprehension"
+                 if isinstance(node, ast.comprehension) else "iteration",
+                 node.iter)
+        elif isinstance(node, ast.ClassDef):
+            classes.append(node)
+    for path, node in chains:
+        # Report the shortest source chain only: `random.choice` once,
+        # not again as the owner of `random.choice.__doc__`.
+        read = source_read(path, bindings)
+        if read is not None and source_read(path[:-1], bindings) is None:
+            site(read[0], read[1], node)
+    return bindings, classes
+
+
+def _guard_registry(value: ast.expr) -> dict[str, str]:
+    """``{attr: lock}`` from a module-level ``_GUARDED`` value.
+
+    A ``{attr: lock}`` dict, or a set/tuple/list of attribute names
+    (bare or wrapped, ``frozenset({...})``) guarded by ``_lock``.
+    """
+    if isinstance(value, ast.Dict):
+        return {key.value: lock.value
+                for key, lock in zip(value.keys, value.values)
+                if isinstance(key, ast.Constant)
+                and isinstance(key.value, str)
+                and isinstance(lock, ast.Constant)
+                and isinstance(lock.value, str)}
+    containers = value.args if isinstance(value, ast.Call) else [value]
+    return {item.value: _DEFAULT_LOCK
+            for container in containers
+            if isinstance(container, (ast.Set, ast.Tuple, ast.List))
+            for item in container.elts
+            if isinstance(item, ast.Constant)
+            and isinstance(item.value, str)}
+
+
+def _collect_module_level(source: SourceFile,
+                          summary: FileSummary) -> dict[str, str]:
+    """Constants, ``__all__`` and the top-level symbol inventory.
+
+    Returns the module's ``_GUARDED`` registry (``{attr: lock}``),
+    which every class of the module inherits as guards.
+    """
+    guards: dict[str, str] = {}
     for node in source.tree.body:
         targets: list[ast.expr] = []
         value: ast.expr | None = None
@@ -250,103 +423,32 @@ def _collect_module_level(source: SourceFile,
                 if isinstance(item, ast.Constant)
                 and isinstance(item.value, str)]
             summary.exports_line = node.lineno
+        if "_GUARDED" in names:
+            guards.update(_guard_registry(value))
+    return guards
 
 
-#: registrar name -> registry label (shared with SCAR005/SCAR009).
-REGISTRARS: dict[str, str] = {
-    "register_policy": "policy",
-    "register_backend": "backend",
-    "register_topology": "topology",
-}
+def _class_facts(source: SourceFile, cls: ast.ClassDef,
+                 module_guards: dict[str, str]) -> dict[str, Any]:
+    """What a class declares in ``__init__``, in one walk of it.
 
-
-def _collect_registrations(source: SourceFile,
-                           summary: FileSummary) -> None:
-    for node in ast.walk(source.tree):
-        if not isinstance(node, ast.Call):
-            continue
-        func = node.func
-        registrar = func.id if isinstance(func, ast.Name) else (
-            func.attr if isinstance(func, ast.Attribute) else None)
-        if registrar not in REGISTRARS:
-            continue
-        if node.args and isinstance(node.args[0], ast.Constant) \
-                and isinstance(node.args[0].value, str):
-            summary.registrations.append(
-                {"registrar": registrar, "name": node.args[0].value,
-                 "line": node.lineno, "col": node.col_offset})
-
-
-def _collect_uses(source: SourceFile, summary: FileSummary) -> None:
-    """Attribute loads rooted at import aliases (export-usage facts).
-
-    ``wire.WIRE_VERSION`` with ``from repro.api import wire`` records
-    the pair ``(repro.api.wire, WIRE_VERSION)`` -- resolved later, once
-    the model knows which dotted prefixes are project modules.  Stored
-    raw as ``[root_alias, attr, ...]`` paths.
+    * ``guards`` (SCAR001): ``{attr: lock}`` from the module's
+      ``_GUARDED`` registry, overlaid by ``# guarded by: <lock>``
+      comments on ``__init__`` assignments -- real comment tokens, so
+      a docstring that mentions the syntax declares nothing;
+    * ``locks`` (SCAR006): ``{lock attr: reentrant?}`` for attributes
+      assigned ``threading.Lock()``/``RLock()``/``Condition()`` (bare
+      or module-qualified), plus every lock a guard names
+      (reentrancy unknown defaults to reentrant: the quiet side);
+    * ``attr_types`` (call resolution): ``{self attr: class name as
+      written}`` from ``self.x = Session(...)`` or ``self.x =
+      session`` with the parameter annotated ``Session`` (optionally
+      ``| None``).
     """
-    seen: set[tuple[str, ...]] = set()
-    for node in ast.walk(source.tree):
-        if not isinstance(node, ast.Attribute) \
-                or not isinstance(node.ctx, ast.Load):
-            continue
-        parts: list[str] = [node.attr]
-        inner = node.value
-        while isinstance(inner, ast.Attribute):
-            parts.append(inner.attr)
-            inner = inner.value
-        if not isinstance(inner, ast.Name) or inner.id == "self":
-            continue
-        parts.append(inner.id)
-        path = tuple(reversed(parts))
-        if path not in seen:
-            seen.add(path)
-            summary.uses.append(list(path))
-
-
-def _lock_attrs_of_class(source: SourceFile,
-                         cls: ast.ClassDef) -> dict[str, bool]:
-    """``{lock attr: reentrant?}`` declared in ``__init__``.
-
-    A lock is an attribute assigned ``threading.Lock()`` / ``RLock()``
-    / ``Condition()`` (bare or module-qualified), plus any lock named
-    by a ``# guarded by: <lock>`` comment -- the existing SCAR001
-    annotations seed the deadlock analysis, reentrancy unknown locks
-    default to reentrant (quiet side).
-    """
+    guards = dict(module_guards)
     locks: dict[str, bool] = {}
-    for item in cls.body:
-        if not isinstance(item, ast.FunctionDef) \
-                or item.name != "__init__":
-            continue
-        for node in ast.walk(item):
-            if not isinstance(node, ast.Assign):
-                continue
-            attrs = [a for a in map(_self_attr, node.targets)
-                     if a is not None]
-            if not attrs or not isinstance(node.value, ast.Call):
-                continue
-            func = node.value.func
-            ctor = func.id if isinstance(func, ast.Name) else (
-                func.attr if isinstance(func, ast.Attribute) else None)
-            if ctor in _LOCK_CTORS:
-                for attr in attrs:
-                    locks[attr] = ctor in _REENTRANT_CTORS
-    import re as _re
-    for match in _re.finditer(r"#\s*guarded by:\s*(\w+)",
-                              source.text):
-        locks.setdefault(match.group(1), True)
-    return locks
-
-
-def _attr_types(cls: ast.ClassDef) -> dict[str, str]:
-    """``{self attr: class name as written}`` from ``__init__``.
-
-    Both forms count: ``self.x = Session(...)`` (constructor call) and
-    ``self.x = session`` where the ``session`` parameter is annotated
-    ``Session`` (optionally ``| None``).
-    """
     types: dict[str, str] = {}
+    comments = source.comments()
     for item in cls.body:
         if not isinstance(item, ast.FunctionDef) \
                 or item.name != "__init__":
@@ -358,43 +460,71 @@ def _attr_types(cls: ast.ClassDef) -> dict[str, str]:
             if name is not None:
                 params[arg.arg] = name
         for node in ast.walk(item):
-            if not isinstance(node, ast.Assign):
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign):
+                targets = [node.target]
+            else:
                 continue
-            attrs = [a for a in map(_self_attr, node.targets)
-                     if a is not None]
+            attrs = [a for a in map(_self_attr, targets) if a is not None]
             if not attrs:
                 continue
-            typename: str | None = None
+            for line in range(node.lineno, node.end_lineno + 1):
+                match = _GUARD_COMMENT_RE.search(comments.get(line, ""))
+                if match is not None:
+                    guards.update(dict.fromkeys(attrs, match["lock"]))
+                    break
+            if not isinstance(node, ast.Assign):
+                continue
             value = node.value
-            if isinstance(value, ast.Call) \
-                    and isinstance(value.func, ast.Name) \
-                    and value.func.id[:1].isupper():
-                typename = value.func.id
+            typename: str | None = None
+            if isinstance(value, ast.Call):
+                func = value.func
+                ctor = func.id if isinstance(func, ast.Name) else (
+                    func.attr if isinstance(func, ast.Attribute)
+                    else None)
+                if ctor in _LOCK_CTORS:
+                    locks.update(dict.fromkeys(
+                        attrs, ctor in _REENTRANT_CTORS))
+                if isinstance(func, ast.Name) and func.id[:1].isupper():
+                    typename = func.id
             elif isinstance(value, ast.Name):
                 typename = params.get(value.id)
             if typename is not None:
-                for attr in attrs:
-                    types[attr] = typename
-    return types
+                types.update(dict.fromkeys(attrs, typename))
+    for lock in guards.values():
+        locks.setdefault(lock, True)
+    return {"locks": locks, "guards": guards, "attr_types": types}
 
 
-def _function_facts(source: SourceFile, func: ast.AST,
-                    taint_extractor: Callable | None) -> dict[str, Any]:
-    """Call sites, lock acquisitions and taint facts of one function.
+def _function_facts(func: ast.AST, taint_extractor: Callable | None,
+                    bindings: Bindings, guards: dict[str, str],
+                    breaches_only: bool = False) -> dict[str, Any]:
+    """Call sites, lock regions, guard breaches and taint of a function.
 
-    Nested function bodies are excluded from lock regions (a closure
-    can outlive the ``with`` that created it -- same rule as SCAR001)
-    but their calls still count toward the call graph via their own
-    entries.
+    One visitor tracks the ``with self.<lock>`` regions held at each
+    node.  ``unguarded`` lists ``self.<attr>`` accesses whose guard
+    lock (``guards``, the class's) is not held there -- SCAR001's
+    facts.  A nested function or lambda runs with no lock held (a
+    closure can outlive the ``with`` that created it), and its calls
+    and lock regions belong to no call-graph entry, so inside one --
+    and with ``breaches_only``, for a method of a class that is not at
+    module level -- only guard breaches are recorded.
     """
     calls: list[dict[str, Any]] = []
     acquires: list[dict[str, Any]] = []
     lock_pairs: list[dict[str, Any]] = []
     locked_calls: list[dict[str, Any]] = []
+    unguarded: list[dict[str, Any]] = []
 
-    def visit(node: ast.AST, held: tuple[str, ...]) -> None:
+    def visit(node: ast.AST, held: tuple[str, ...], nested: bool) -> None:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                              ast.Lambda)) and node is not func:
+            if guards:  # nothing else to record inside a closure
+                body = node.body if isinstance(node.body, list) \
+                    else [node.body]
+                for stmt in body:
+                    visit(stmt, (), True)
             return
         if isinstance(node, (ast.With, ast.AsyncWith)):
             taken: list[str] = []
@@ -402,60 +532,87 @@ def _function_facts(source: SourceFile, func: ast.AST,
                 attr = _self_attr(item.context_expr)
                 if attr is not None:
                     taken.append(attr)
-                    acquires.append({"lock": attr, "line": node.lineno,
-                                     "col": node.col_offset})
-                    for holder in held:
-                        lock_pairs.append(
-                            {"held": holder, "acquired": attr,
-                             "line": node.lineno,
-                             "col": node.col_offset})
-                visit(item.context_expr, held)
+                    if not nested:
+                        acquires.append({"lock": attr,
+                                         "line": node.lineno,
+                                         "col": node.col_offset})
+                        for holder in held:
+                            lock_pairs.append(
+                                {"held": holder, "acquired": attr,
+                                 "line": node.lineno,
+                                 "col": node.col_offset})
+                visit(item.context_expr, held, nested)
             inner = held + tuple(taken)
             for stmt in node.body:
-                visit(stmt, inner)
+                visit(stmt, inner, nested)
             return
-        if isinstance(node, ast.Call):
+        if isinstance(node, ast.Call) and not nested:
             desc = call_desc(node)
             if desc is not None:
                 calls.append(desc)
                 for holder in held:
                     locked_calls.append({"held": holder, "call": desc})
+        attr = _self_attr(node)
+        if attr in guards and guards[attr] not in held:
+            unguarded.append({"attr": attr, "lock": guards[attr],
+                              "line": node.lineno,
+                              "col": node.col_offset})
         for child in ast.iter_child_nodes(node):
-            visit(child, held)
+            visit(child, held, nested)
 
-    body = func.body if isinstance(func.body, list) else [func.body]
-    for stmt in body:
-        visit(stmt, ())
+    for stmt in func.body:
+        visit(stmt, (), breaches_only)
     facts: dict[str, Any] = {
         "line": func.lineno, "col": func.col_offset,
         "calls": calls, "acquires": acquires,
         "lock_pairs": lock_pairs, "locked_calls": locked_calls,
+        "unguarded": unguarded,
     }
-    if taint_extractor is not None:
-        facts["taint"] = taint_extractor(source, func)
+    if taint_extractor is not None and not breaches_only:
+        facts["taint"] = taint_extractor(func, bindings)
     return facts
 
 
 def _collect_defs(source: SourceFile, summary: FileSummary,
-                  taint_extractor: Callable | None) -> None:
+                  taint_extractor: Callable | None, bindings: Bindings,
+                  module_guards: dict[str, str],
+                  classes: list[ast.ClassDef]) -> None:
+    """Function and class facts.  Module-level definitions join the
+    call graph; classes nested in a statement, function or class only
+    contribute their guard breaches."""
+
+    def facts_of(func: ast.AST, qualname: str, guards: dict[str, str],
+                 breaches_only: bool = False) -> dict[str, Any]:
+        facts = _function_facts(func, taint_extractor, bindings, guards,
+                                breaches_only)
+        summary.unguarded.extend({"method": qualname, **breach}
+                                 for breach in facts.pop("unguarded"))
+        return facts
+
     for node in source.tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            summary.functions[node.name] = _function_facts(
-                source, node, taint_extractor)
+            summary.functions[node.name] = facts_of(node, node.name, {})
         elif isinstance(node, ast.ClassDef):
+            info = _class_facts(source, node, module_guards)
             methods: list[str] = []
             for item in node.body:
                 if isinstance(item, (ast.FunctionDef,
                                      ast.AsyncFunctionDef)):
                     methods.append(item.name)
-                    summary.functions[f"{node.name}.{item.name}"] = \
-                        _function_facts(source, item, taint_extractor)
+                    qualname = f"{node.name}.{item.name}"
+                    summary.functions[qualname] = facts_of(
+                        item, qualname, info["guards"])
             summary.classes[node.name] = {
-                "line": node.lineno,
-                "methods": methods,
-                "locks": _lock_attrs_of_class(source, node),
-                "attr_types": _attr_types(node),
-            }
+                "line": node.lineno, "methods": methods, **info}
+    for cls in classes:
+        if cls in source.tree.body:
+            continue  # module level, done above
+        guards = _class_facts(source, cls, module_guards)["guards"]
+        for item in cls.body:
+            if guards and isinstance(item, (ast.FunctionDef,
+                                            ast.AsyncFunctionDef)):
+                facts_of(item, f"{cls.name}.{item.name}", guards,
+                         breaches_only=True)
 
 
 def _collect_emitters(source: SourceFile,
@@ -531,16 +688,17 @@ def summarize(source: SourceFile,
               taint_extractor: Callable | None = None) -> FileSummary:
     """Distill one parsed source into its :class:`FileSummary`.
 
-    ``taint_extractor`` is injected by the runner (it lives in
-    :mod:`repro.analysis.taint`) to keep this module free of checker
-    specifics; ``None`` skips taint facts (graph-only consumers).
+    ``taint_extractor(func, bindings)`` is injected by the runner (it
+    lives in :mod:`repro.analysis.taint`) to keep this module free of
+    the taint algebra; ``None`` skips taint facts (graph-only
+    consumers).
     """
     summary = FileSummary(path=source.path, module=source.module,
                           content_hash=source.content_hash)
-    _collect_module_level(source, summary)
-    _collect_registrations(source, summary)
-    _collect_uses(source, summary)
-    _collect_defs(source, summary, taint_extractor)
+    bindings, classes = _collect_walked(source, summary)
+    module_guards = _collect_module_level(source, summary)
+    _collect_defs(source, summary, taint_extractor, bindings,
+                  module_guards, classes)
     _collect_emitters(source, summary)
     summary.noqa_lines = {
         str(line): sorted(codes)
@@ -565,14 +723,15 @@ class ProgramModel:
                  load_source: Callable[[str], SourceFile] | None = None
                  ) -> None:
         self.root = Path(root)
+        #: Every summary in lint order, including files whose module
+        #: name another file shadows in ``summaries``.
+        self.files: list[FileSummary] = list(summaries)
         self.summaries: dict[str, FileSummary] = {}
         for summary in summaries:
             self.summaries[summary.module] = summary
         self.modules: set[str] = set(self.summaries)
         self._sources: dict[str, SourceFile] = {}
         self._load = load_source
-        self._import_graph: dict[str, set[str]] | None = None
-        self._dependents: dict[str, set[str]] | None = None
         self._lock_closure: dict[str, frozenset[str]] | None = None
 
     # -- sources ----------------------------------------------------------
@@ -597,44 +756,8 @@ class ProgramModel:
 
     def text(self, module: str) -> str | None:
         """Raw text of ``module`` without forcing a parse."""
-        source = self._sources.get(module)
-        if source is not None:
-            return source.text
-        summary = self.summaries.get(module)
-        if summary is None:
-            return None
-        return self.source(module).text if self._load is None \
-            else self._load(module).text
-
-    # -- import graph ------------------------------------------------------
-
-    def import_graph(self) -> dict[str, set[str]]:
-        """``module -> project modules it imports`` (direct edges)."""
-        if self._import_graph is None:
-            self._import_graph = {
-                module: summary.project_imports(self.modules)
-                for module, summary in self.summaries.items()}
-        return self._import_graph
-
-    def dependents(self, module: str) -> set[str]:
-        """Transitive reverse-import closure (who must re-analyze)."""
-        if self._dependents is None:
-            reverse: dict[str, set[str]] = {m: set() for m in
-                                            self.modules}
-            for src, deps in self.import_graph().items():
-                for dep in deps:
-                    reverse.setdefault(dep, set()).add(src)
-            self._dependents = reverse
-        seen: set[str] = set()
-        frontier = [module]
-        while frontier:
-            current = frontier.pop()
-            for user in self._dependents.get(current, ()):
-                if user not in seen:
-                    seen.add(user)
-                    frontier.append(user)
-        seen.discard(module)
-        return seen
+        source = self.source(module)
+        return None if source is None else source.text
 
     # -- symbol resolution -------------------------------------------------
 
@@ -810,13 +933,6 @@ class ProgramModel:
                 cls = qualname.split(".")[0] if "." in qualname else None
                 yield (f"{module}:{qualname}", module, cls,
                        summary.functions[qualname])
-
-    def function_facts(self, func_id: str) -> dict[str, Any] | None:
-        module, _, qualname = func_id.partition(":")
-        summary = self.summaries.get(module)
-        if summary is None:
-            return None
-        return summary.functions.get(qualname)
 
     # -- lock closure ------------------------------------------------------
 

@@ -1,8 +1,13 @@
-"""SCAR001: guarded state is only touched while holding its lock.
+"""SCAR001 and SCAR006: lock discipline and lock order.
 
 The concurrency-bearing classes (:class:`repro.api.session.Session`,
 :class:`repro.service.scheduler.SchedulerService`) protect their mutable
-bookkeeping with one mutex.  The convention is declarative:
+bookkeeping with one mutex.  Both checkers read the lock facts
+:func:`repro.analysis.graph.summarize` records in one visitor per
+function: the ``with self.<lock>`` regions held at each node.
+
+**SCAR001** proves each annotated field is only touched under its
+lock.  The convention is declarative:
 
 * an attribute assigned in ``__init__`` with a ``# guarded by: _lock``
   comment on its assignment is *guarded* -- every other access to
@@ -20,112 +25,32 @@ Nested functions defined inside a method do *not* inherit the enclosing
 lock context: a closure can outlive the ``with`` block that created it
 (handed to a thread or callback), so guarded access inside one is
 flagged.
+
+**SCAR006** proves the locks themselves cannot deadlock.  From the
+program model it builds a directed *lock-order graph*: an edge
+``A -> B`` means some execution path acquires lock ``B`` while already
+holding lock ``A`` -- either directly (nested ``with self._a: ...
+with self._b:``) or through a call chain (a method of one class,
+holding its lock, calls into another class whose methods take their
+own lock; the callee's transitive lock closure seeds the edge).  A
+cycle in that graph is a potential deadlock: two threads entering the
+cycle from different points block each other forever.
+
+Lock identities are per-class attributes (``module.Class.attr``),
+seeded from ``threading.Lock()``/``RLock()``/``Condition()``
+assignments in ``__init__`` and from the class's guards.  Self-edges
+are reported only for non-reentrant ``Lock``s (an ``RLock`` may
+legally re-enter); cross-lock cycles are reported regardless of
+reentrancy -- reentrancy does not help when two threads hold one lock
+each.
 """
 
 from __future__ import annotations
 
-import ast
-import re
-from typing import Iterable, Iterator
+from typing import Any, Iterable
 
-from repro.analysis.core import (
-    Checker,
-    Finding,
-    SourceFile,
-    register_checker,
-)
-
-_GUARD_COMMENT_RE = re.compile(r"#\s*guarded by:\s*(?P<lock>\w+)")
-
-#: Modules whose lock discipline is load-bearing (the service stack and
-#: the session facade); files elsewhere opt in by declaring guards.
-_SCOPE = ("repro.service", "repro.api.session")
-
-_DEFAULT_LOCK = "_lock"
-
-
-def _in_scope(module: str) -> bool:
-    return any(module == prefix or module.startswith(prefix + ".")
-               for prefix in _SCOPE)
-
-
-def _module_guards(tree: ast.Module) -> dict[str, str]:
-    """Parse a module-level ``_GUARDED`` registry into ``{attr: lock}``."""
-    guards: dict[str, str] = {}
-    for node in tree.body:
-        targets: list[ast.expr] = []
-        value: ast.expr | None = None
-        if isinstance(node, ast.Assign):
-            targets, value = node.targets, node.value
-        elif isinstance(node, ast.AnnAssign) and node.value is not None:
-            targets, value = [node.target], node.value
-        if not any(isinstance(t, ast.Name) and t.id == "_GUARDED"
-                   for t in targets):
-            continue
-        if isinstance(value, ast.Dict):
-            for key, lock in zip(value.keys, value.values):
-                if isinstance(key, ast.Constant) \
-                        and isinstance(key.value, str) \
-                        and isinstance(lock, ast.Constant) \
-                        and isinstance(lock.value, str):
-                    guards[key.value] = lock.value
-        elif isinstance(value, (ast.Set, ast.Tuple, ast.List)):
-            for item in value.elts:
-                if isinstance(item, ast.Constant) \
-                        and isinstance(item.value, str):
-                    guards[item.value] = _DEFAULT_LOCK
-        elif isinstance(value, ast.Call):
-            # frozenset({...}) / tuple([...]) wrappers.
-            for arg in value.args:
-                if isinstance(arg, (ast.Set, ast.Tuple, ast.List)):
-                    for item in arg.elts:
-                        if isinstance(item, ast.Constant) \
-                                and isinstance(item.value, str):
-                            guards[item.value] = _DEFAULT_LOCK
-    return guards
-
-
-def _self_attr(node: ast.AST) -> str | None:
-    """``self.<attr>`` attribute name, else ``None``."""
-    if isinstance(node, ast.Attribute) \
-            and isinstance(node.value, ast.Name) \
-            and node.value.id == "self":
-        return node.attr
-    return None
-
-
-def _init_guards(source: SourceFile,
-                 init: ast.FunctionDef) -> dict[str, str]:
-    """``{attr: lock}`` from ``# guarded by:`` comments in ``__init__``."""
-    guards: dict[str, str] = {}
-    for node in ast.walk(init):
-        targets: list[ast.expr]
-        if isinstance(node, ast.Assign):
-            targets = node.targets
-        elif isinstance(node, ast.AnnAssign):
-            targets = [node.target]
-        else:
-            continue
-        attrs = [attr for attr in map(_self_attr, targets)
-                 if attr is not None]
-        if not attrs:
-            continue
-        match = _GUARD_COMMENT_RE.search(source.node_lines(node))
-        if match is None:
-            continue
-        for attr in attrs:
-            guards[attr] = match.group("lock")
-    return guards
-
-
-def _acquired_locks(node: ast.With | ast.AsyncWith) -> frozenset[str]:
-    """Lock attribute names a ``with`` statement takes (``self.X``)."""
-    locks = set()
-    for item in node.items:
-        attr = _self_attr(item.context_expr)
-        if attr is not None:
-            locks.add(attr)
-    return frozenset(locks)
+from repro.analysis.core import Checker, Finding, register_checker
+from repro.analysis.graph import call_key
 
 
 @register_checker
@@ -136,74 +61,176 @@ class LockDisciplineChecker(Checker):
                    "module-level _GUARDED registry) are only accessed "
                    "inside `with self.<lock>` blocks")
 
-    def applies_to(self, source: SourceFile) -> bool:
-        return _in_scope(source.module) \
-            or "guarded by:" in source.text or "_GUARDED" in source.text
-
-    def check(self, source: SourceFile) -> Iterable[Finding]:
-        module_guards = _module_guards(source.tree)
+    def check_program(self, program: Any) -> Iterable[Finding]:
         findings: list[Finding] = []
-        for node in ast.walk(source.tree):
-            if isinstance(node, ast.ClassDef):
-                findings.extend(
-                    self._check_class(source, node, module_guards))
+        for summary in program.files:
+            for breach in summary.unguarded:
+                cls, _, method = breach["method"].rpartition(".")
+                if method == "__init__" or method.endswith("_locked"):
+                    continue
+                attr, lock = breach["attr"], breach["lock"]
+                findings.append(Finding(
+                    code=self.code,
+                    message=(f"`self.{attr}` is guarded by `{lock}` but "
+                             f"{cls}.{method} touches it outside "
+                             f"`with self.{lock}`"),
+                    path=summary.path, line=breach["line"],
+                    col=breach["col"]))
         return findings
 
-    def _check_class(self, source: SourceFile, cls: ast.ClassDef,
-                     module_guards: dict[str, str]) -> Iterator[Finding]:
-        guards = dict(module_guards)
-        for item in cls.body:
-            if isinstance(item, ast.FunctionDef) \
-                    and item.name == "__init__":
-                guards.update(_init_guards(source, item))
-        if not guards:
-            return
-        for item in cls.body:
-            if not isinstance(item,
-                              (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            if item.name == "__init__" or item.name.endswith("_locked"):
-                continue
-            yield from self._check_body(source, cls.name, item.name,
-                                        item.body, guards, frozenset())
 
-    def _check_body(self, source: SourceFile, cls_name: str,
-                    method: str, body: list[ast.stmt],
-                    guards: dict[str, str],
-                    held: frozenset[str]) -> Iterator[Finding]:
-        for stmt in body:
-            yield from self._check_node(source, cls_name, method, stmt,
-                                        guards, held)
+#: An acquisition edge: (held lock id, acquired lock id) with the
+#: source location and a human-readable route.
+_Edge = tuple[str, str]
 
-    def _check_node(self, source: SourceFile, cls_name: str,
-                    method: str, node: ast.AST, guards: dict[str, str],
-                    held: frozenset[str]) -> Iterator[Finding]:
-        if isinstance(node, (ast.With, ast.AsyncWith)):
-            for item in node.items:
-                yield from self._check_node(source, cls_name, method,
-                                            item.context_expr, guards,
-                                            held)
-            inner = held | _acquired_locks(node)
-            yield from self._check_body(source, cls_name, method,
-                                        node.body, guards, inner)
-            return
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.Lambda)):
-            # A closure can outlive the lock scope that created it.
-            body = node.body if isinstance(node.body, list) \
-                else [ast.Expr(node.body)]
-            yield from self._check_body(source, cls_name, method, body,
-                                        guards, frozenset())
-            return
-        attr = _self_attr(node)
-        if attr is not None and attr in guards \
-                and guards[attr] not in held:
-            lock = guards[attr]
-            yield source.finding(
-                self.code,
-                f"`self.{attr}` is guarded by `{lock}` but "
-                f"{cls_name}.{method} touches it outside "
-                f"`with self.{lock}`", node)
-        for child in ast.iter_child_nodes(node):
-            yield from self._check_node(source, cls_name, method, child,
-                                        guards, held)
+
+def _lock_order_edges(program: Any) -> dict[_Edge, dict[str, Any]]:
+    """All held->acquired edges with one provenance site each."""
+    closure = program.lock_closure()
+    edges: dict[_Edge, dict[str, Any]] = {}
+
+    def add(edge: _Edge, path: str, line: int, col: int,
+            route: str) -> None:
+        if edge not in edges:
+            edges[edge] = {"path": path, "line": line, "col": col,
+                           "route": route}
+
+    for func_id, module, cls, facts in program.functions():
+        if cls is None:
+            continue
+        locks = program.class_locks(module, cls)
+        summary = program.summaries[module]
+
+        def lock_of(attr: str) -> str | None:
+            if attr in locks:
+                return program.lock_id(module, cls, attr)
+            return None
+
+        for pair in facts.get("lock_pairs", ()):
+            held = lock_of(pair["held"])
+            acquired = lock_of(pair["acquired"])
+            if held is None or acquired is None:
+                continue
+            add((held, acquired), summary.path, pair["line"],
+                pair["col"],
+                f"{func_id} nests `with self.{pair['acquired']}` "
+                f"under `with self.{pair['held']}`")
+        for locked in facts.get("locked_calls", ()):
+            held = lock_of(locked["held"])
+            if held is None:
+                continue
+            desc = locked["call"]
+            target = program.resolve_call(module, cls, desc)
+            if target is None:
+                continue
+            for acquired in sorted(closure.get(target, ())):
+                add((held, acquired), summary.path, desc["line"],
+                    desc["col"],
+                    f"{func_id} holds self.{locked['held']} while "
+                    f"calling {call_key(desc)}() -> {target}, which "
+                    f"may acquire {acquired}")
+    return edges
+
+
+def _is_reentrant(program: Any, lock_id: str) -> bool:
+    module, _, rest = lock_id.rpartition(".")
+    module, _, cls = module.rpartition(".")
+    return program.class_locks(module, cls).get(rest, True)
+
+
+def _cycles(edges: dict[_Edge, dict[str, Any]]) -> list[list[str]]:
+    """Strongly-connected components with >= 2 locks, as node lists."""
+    graph: dict[str, set[str]] = {}
+    for held, acquired in edges:
+        graph.setdefault(held, set()).add(acquired)
+        graph.setdefault(acquired, set())
+    # Tarjan, iterative.
+    index: dict[str, int] = {}
+    low: dict[str, int] = {}
+    on_stack: set[str] = set()
+    stack: list[str] = []
+    counter = [0]
+    components: list[list[str]] = []
+
+    for root in sorted(graph):
+        if root in index:
+            continue
+        work: list[tuple[str, Any]] = [(root, iter(sorted(graph[root])))]
+        index[root] = low[root] = counter[0]
+        counter[0] += 1
+        stack.append(root)
+        on_stack.add(root)
+        while work:
+            node, children = work[-1]
+            advanced = False
+            for child in children:
+                if child not in index:
+                    index[child] = low[child] = counter[0]
+                    counter[0] += 1
+                    stack.append(child)
+                    on_stack.add(child)
+                    work.append((child, iter(sorted(graph[child]))))
+                    advanced = True
+                    break
+                if child in on_stack:
+                    low[node] = min(low[node], index[child])
+            if advanced:
+                continue
+            work.pop()
+            if work:
+                parent = work[-1][0]
+                low[parent] = min(low[parent], low[node])
+            if low[node] == index[node]:
+                component: list[str] = []
+                while True:
+                    member = stack.pop()
+                    on_stack.discard(member)
+                    component.append(member)
+                    if member == node:
+                        break
+                if len(component) > 1:
+                    components.append(sorted(component))
+    return components
+
+
+@register_checker
+class LockOrderChecker(Checker):
+    code = "SCAR006"
+    name = "lock-order-deadlock"
+    description = ("the inter-procedural lock-acquisition graph is "
+                   "acyclic: no two locks are ever taken in opposite "
+                   "orders, directly or through call chains")
+
+    def check_program(self, program: Any) -> Iterable[Finding]:
+        edges = _lock_order_edges(program)
+        findings: list[Finding] = []
+        # Self-deadlock: a plain Lock re-acquired along some path.
+        for (held, acquired), site in sorted(edges.items()):
+            if held == acquired \
+                    and not _is_reentrant(program, held):
+                findings.append(Finding(
+                    code=self.code,
+                    message=(f"non-reentrant lock {held} may be "
+                             f"re-acquired while held: "
+                             f"{site['route']}"),
+                    path=site["path"], line=site["line"],
+                    col=site["col"]))
+        # Order cycles between distinct locks.
+        for component in _cycles(edges):
+            members = set(component)
+            sites = sorted(
+                (site["path"], site["line"], site["col"],
+                 site["route"])
+                for (held, acquired), site in edges.items()
+                if held in members and acquired in members
+                and held != acquired)
+            if not sites:
+                continue
+            path, line, col, _ = sites[0]
+            routes = "; ".join(route for _, _, _, route in sites[:3])
+            findings.append(Finding(
+                code=self.code,
+                message=(f"lock-order cycle between "
+                         f"{', '.join(component)}: {routes}"),
+                path=path, line=line, col=col))
+        return findings

@@ -3,16 +3,17 @@
 The engine runs in two phases:
 
 * the **per-file phase** parses each source, runs the per-file
-  checkers that apply to it, and distills the file into a
-  :class:`~repro.analysis.graph.FileSummary`.  Its results depend
+  checkers that apply to it (SCAR003, SCAR010), and distills the file
+  into a :class:`~repro.analysis.graph.FileSummary`.  Its results depend
   only on the file's bytes and the enabled per-file codes, so they
   are cached by content hash (:mod:`repro.analysis.cache`) and can
   run in parallel worker processes (``scar lint --jobs N``, same
   initializer/worker idiom as the engine's process backend);
 * the **program phase** assembles every summary into a
   :class:`~repro.analysis.graph.ProgramModel` and runs the
-  whole-program checkers (deadlock, taint, schema drift, dead
-  symbols).  It always runs -- cross-module facts cannot be cached
+  whole-program checkers (the other eight: lock discipline and order,
+  determinism and taint, error codes, registries and dead symbols,
+  schema drift).  It always runs -- cross-module facts cannot be cached
   per file -- but reads only summaries, parsing individual sources
   lazily when a checker asks.
 
@@ -35,12 +36,7 @@ from pathlib import Path
 from typing import Any, Iterable, Sequence
 
 from repro.analysis.cache import LintCache
-from repro.analysis.core import (
-    Checker,
-    Finding,
-    SourceFile,
-    build_checkers,
-)
+from repro.analysis.core import Checker, Finding, SourceFile, build_checkers
 from repro.analysis.deadsyms import orphan_noqa_findings
 from repro.analysis.graph import FileSummary, ProgramModel, summarize
 from repro.analysis.report import LintReport
@@ -242,15 +238,11 @@ def _fold_report(sources: Sequence[SourceFile],
 
 def _run_program_phase(program: ProgramModel,
                        checkers: Sequence[Checker],
-                       sources: Sequence[SourceFile],
                        timings: dict[str, float]) -> list[Finding]:
     findings: list[Finding] = []
     for checker in checkers:
         started = time.perf_counter()
         findings.extend(checker.check_program(program))
-        if type(checker).check_project is not Checker.check_project:
-            findings.extend(checker.check_project(list(sources),
-                                                  program.root))
         timings[checker.code] = timings.get(checker.code, 0.0) \
             + (time.perf_counter() - started)
     return findings
@@ -288,8 +280,7 @@ def run_checkers(sources: Sequence[SourceFile], *,
     by_module = {source.module: source for source in sources}
     program = ProgramModel(summaries, root_path,
                            load_source=by_module.__getitem__)
-    raw.extend(_run_program_phase(program, program_checkers,
-                                  sources, timings))
+    raw.extend(_run_program_phase(program, program_checkers, timings))
     return _fold_report(sources, raw, enabled, directives,
                         timings=timings, cache_hits=0,
                         cache_misses=len(sources), jobs=1)
@@ -368,8 +359,7 @@ def lint_paths(paths: Iterable[str | Path], *,
         from repro.analysis.schema import write_golden
 
         write_golden(program, root_path)
-    raw.extend(_run_program_phase(program, program_checkers,
-                                  sources, timings))
+    raw.extend(_run_program_phase(program, program_checkers, timings))
     return _fold_report(sources, raw, enabled, directives,
                         timings=timings, cache_hits=len(valid),
                         cache_misses=len(misses), jobs=jobs)

@@ -1,23 +1,33 @@
-"""SCAR007: inter-procedural RNG/wall-clock taint dataflow.
+"""SCAR002 and SCAR007: nondeterminism sources and where they flow.
 
-SCAR002 bans nondeterminism *inside* the kernel modules by name; this
-checker closes the remaining hole -- nondeterminism produced elsewhere
-and handed in.  A value derived from the process-wide ``random``
-module, a wall-clock read (``time.time``/``monotonic``/
-``perf_counter`` and friends, ``datetime.now``), ``os.urandom`` or
-``uuid.uuid*`` is *tainted*; a call that passes a tainted argument
-into :mod:`repro.engine`, :mod:`repro.sweep`, :mod:`repro.sim` or
-:mod:`repro.workloads` is a finding at the call site.  Seeded
-``random.Random(seed)`` streams are clean sources by design -- they
-are exactly how the project does randomness.
+The engine, the sweep layer, the scenario generator and the simulation
+layer promise bit-identical results across reruns, worker counts and
+processes (golden tests, resumable stores, the cross-replica cache and
+the warm-vs-cold replay parity contract all gate on it).  Both checkers
+read one source classifier (:func:`repro.analysis.graph.source_read`):
+a read of the process-wide ``random`` functions (``rng``; seeded
+``random.Random(seed)`` streams are the sanctioned alternative), of
+the wall clock (``time.time``, ``datetime.now`` and friends), of a
+timer (``time.monotonic``/``perf_counter``), ``os.urandom`` or
+``uuid.uuid1``/``uuid4``.
 
-The analysis is flow-insensitive within a function (a name once
+* **SCAR002** bans, inside those modules, the ``rng`` and wall-clock
+  reads (timers stay legal: they feed perf measurements documented as
+  non-identity) and iterating a bare ``set`` literal, whose order
+  follows per-process string-hash randomization.
+* **SCAR007** closes the remaining hole -- nondeterminism produced
+  elsewhere and handed in.  A value derived from any source kind is
+  *tainted*; a call that passes a tainted argument into
+  :mod:`repro.engine`, :mod:`repro.sweep`, :mod:`repro.sim` or
+  :mod:`repro.workloads` is a finding at the call site.
+
+The taint analysis is flow-insensitive within a function (a name once
 tainted stays tainted) and propagates across functions through the
 call graph: a function returning taint taints its callers' values, a
 function forwarding a parameter propagates its callers' argument
-taint one level.  Extraction happens once per file (the facts ride in
-the cached :class:`~repro.analysis.graph.FileSummary`); the fixpoint
-runs per lint over the whole-program model.
+taint one level.  Both checkers' facts are extracted once per file
+(they ride in the cached :class:`~repro.analysis.graph.FileSummary`);
+the taint fixpoint runs per lint over the whole-program model.
 """
 
 from __future__ import annotations
@@ -28,82 +38,57 @@ from typing import Any, Iterable
 from repro.analysis.core import (
     Checker,
     Finding,
-    SourceFile,
+    in_scope,
     register_checker,
 )
-from repro.analysis.graph import call_desc, call_key
+from repro.analysis.graph import Bindings, call_desc, call_key, source_read
 
-#: Module prefixes whose call sites are determinism *sinks*.
+#: Modules where bit-identical results are gated (SCAR002).
+DETERMINISM_PREFIXES = ("repro.engine", "repro.sweep",
+                        "repro.workloads.generator", "repro.sim")
+
+#: Module prefixes whose call sites are determinism *sinks* (SCAR007).
 SINK_PREFIXES = ("repro.engine", "repro.sweep", "repro.sim",
                  "repro.workloads")
 
-#: Wall-clock reads on the ``time`` module.
-_TIME_SOURCES = frozenset({
-    "time", "time_ns", "monotonic", "monotonic_ns",
-    "perf_counter", "perf_counter_ns",
-    "process_time", "process_time_ns",
-})
 
-#: ``random`` attributes that are *not* taint sources: constructing a
-#: seeded generator is the sanctioned way to randomize.
-_RANDOM_CLEAN = frozenset({"Random", "SystemRandom"})
-
-_DATETIME_SOURCES = frozenset({"now", "utcnow", "today"})
-_UUID_SOURCES = frozenset({"uuid1", "uuid4"})
-
-
-def in_sink_scope(module: str) -> bool:
-    """Is ``module`` inside a determinism-sink package (exact dots)?"""
-    return any(module == prefix or module.startswith(prefix + ".")
-               for prefix in SINK_PREFIXES)
+def _banned(site: dict[str, Any]) -> str | None:
+    """SCAR002's message for one nondeterminism site (``None`` = legal)."""
+    kind, what = site["kind"], site["what"]
+    if kind == "set-order":
+        return (f"{what} over a bare set literal is order-"
+                f"nondeterministic (hash randomization); sort it or "
+                f"use a tuple")
+    if kind == "rng":
+        verb = "pulls in" if what.startswith("from ") else "uses"
+        return (f"`{what}` {verb} the process-wide RNG; use a seeded "
+                f"random.Random stream")
+    if kind == "wall-clock":
+        return f"`{what}` reads the wall clock; results must not depend on it"
+    return None
 
 
-def _bindings(source: SourceFile) -> dict[str, tuple[str, str | None]]:
-    """``{bound name: (module, original attr or None)}`` per file.
+@register_checker
+class DeterminismChecker(Checker):
+    code = "SCAR002"
+    name = "determinism"
+    description = ("kernel/sweep paths must not use the module-level "
+                   "random functions, wall-clock reads or bare-set-"
+                   "literal iteration")
 
-    ``import time`` binds ``time -> ("time", None)``; ``from time
-    import monotonic as mono`` binds ``mono -> ("time",
-    "monotonic")``.
-    """
-    bound: dict[str, tuple[str, str | None]] = {}
-    for node in ast.walk(source.tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                name = alias.asname or alias.name.split(".")[0]
-                target = alias.name if alias.asname else \
-                    alias.name.split(".")[0]
-                bound[name] = (target, None)
-        elif isinstance(node, ast.ImportFrom) and not node.level:
-            for alias in node.names:
-                if alias.name != "*":
-                    bound[alias.asname or alias.name] = \
-                        (node.module or "", alias.name)
-    return bound
-
-
-def _is_source_path(path: list[str],
-                    bindings: dict[str, tuple[str, str | None]]) -> bool:
-    """Is this dotted call path a process-wide nondeterminism read?"""
-    head = bindings.get(path[0])
-    if head is None:
-        return False
-    module, original = head
-    attrs = ([original] if original is not None else []) + path[1:]
-    if not attrs:
-        return False
-    if module == "random":
-        return attrs[0] not in _RANDOM_CLEAN
-    if module == "time":
-        return attrs[0] in _TIME_SOURCES
-    if module == "os":
-        return attrs[0] == "urandom"
-    if module == "uuid":
-        return attrs[0] in _UUID_SOURCES
-    if module == "datetime":
-        # import datetime; datetime.datetime.now() or
-        # from datetime import datetime/date; datetime.now().
-        return attrs[-1] in _DATETIME_SOURCES
-    return False
+    def check_program(self, program: Any) -> Iterable[Finding]:
+        findings: list[Finding] = []
+        for summary in program.files:
+            if not in_scope(summary.module, DETERMINISM_PREFIXES):
+                continue
+            for site in summary.nondeterminism:
+                message = _banned(site)
+                if message is not None:
+                    findings.append(Finding(
+                        code=self.code, message=message,
+                        path=summary.path, line=site["line"],
+                        col=site["col"]))
+        return findings
 
 
 # -- per-function extraction -------------------------------------------------
@@ -123,8 +108,7 @@ def _atom_key(atom: list) -> str:
 class _FunctionTaint:
     """One pass over a function body collecting taint facts."""
 
-    def __init__(self, bindings: dict[str, tuple[str, str | None]],
-                 func: ast.AST) -> None:
+    def __init__(self, bindings: Bindings, func: ast.AST) -> None:
         self.bindings = bindings
         self.func = func
         self.local: dict[str, list[list]] = {}
@@ -178,7 +162,7 @@ class _FunctionTaint:
         kw_atom_sets = [self.atoms_of(kw.value)
                         for kw in node.keywords]
         if desc is not None and not desc.get("self") \
-                and _is_source_path(desc["path"], self.bindings):
+                and source_read(desc["path"], self.bindings) is not None:
             return [["src"]]
         if desc is not None:
             args = [self._merge(atoms) for atoms in arg_atom_sets]
@@ -253,9 +237,9 @@ class _FunctionTaint:
                 self._bind(element, atoms)
 
 
-def extract_taint(source: SourceFile, func: ast.AST) -> dict[str, Any]:
+def extract_taint(func: ast.AST, bindings: Bindings) -> dict[str, Any]:
     """The taint facts of one function (plugged into ``summarize``)."""
-    return _FunctionTaint(_bindings(source), func).run()
+    return _FunctionTaint(bindings, func).run()
 
 
 # -- the whole-program fixpoint ----------------------------------------------
@@ -277,7 +261,7 @@ class TaintFlowChecker(Checker):
             taint = facts.get("taint")
             if taint is None:
                 continue
-            if in_sink_scope(module):
+            if in_scope(module, SINK_PREFIXES):
                 # Inside the sink modules SCAR002 already polices
                 # sources directly; flows between sink functions would
                 # double-report every internal helper call.
@@ -339,7 +323,7 @@ class TaintFlowChecker(Checker):
         if target is None:
             return None
         target_module = target.partition(":")[0]
-        if not in_sink_scope(target_module):
+        if not in_scope(target_module, SINK_PREFIXES):
             return None
         hot_args = [
             index for index, atoms in enumerate(flow.get("args", ()))

@@ -279,7 +279,7 @@ class ScheduleResult:
     raw: SCARResult | None = field(default=None, compare=False,
                                    repr=False)
 
-    # -- metric conveniences (mirror the legacy StrategyRun) ---------------
+    # -- metric conveniences ----------------------------------------------
 
     @property
     def latency_s(self) -> float:

@@ -55,7 +55,6 @@ from typing import Callable
 
 from repro.experiments import (
     ExperimentConfig,
-    aggregate_perf,
     drain_perf_reports,
     run_arvr,
     run_breakdown,
@@ -69,6 +68,7 @@ from repro.experiments import (
     run_packing_ablation,
     run_prov_ablation,
 )
+from repro.perf import aggregate_reports
 
 _EXPERIMENTS: dict[str, tuple[str, Callable[[ExperimentConfig], str]]] = {
     "fig2": ("Fig. 2 motivational 2x2 study",
@@ -826,7 +826,7 @@ def main(argv: list[str] | None = None) -> int:
         reports = drain_perf_reports()
         if reports:
             print()
-            print(aggregate_perf(reports, jobs=args.jobs).render())
+            print(aggregate_reports(reports, jobs=args.jobs).render())
     return 0
 
 

@@ -12,10 +12,9 @@ traffic analyzer can attribute flows to individual links.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import dataclass
 from functools import lru_cache
-
-import networkx as nx
 
 from repro.errors import HardwareError
 
@@ -137,15 +136,30 @@ class Topology:
 @lru_cache(maxsize=None)
 def _all_pairs_paths(rows: int, cols: int,
                      kind: str) -> dict[tuple[int, int], list[int]]:
-    """Deterministic all-pairs shortest paths for non-mesh topologies."""
+    """Deterministic all-pairs shortest paths for non-mesh topologies.
+
+    A FIFO BFS per source over adjacency lists built in ``edges()``
+    order: among equal-length paths the first one discovered wins, so
+    the routes depend only on the topology.
+    """
     topo = Topology(rows=rows, cols=cols, kind=kind)
-    graph = nx.Graph()
-    graph.add_nodes_from(range(topo.num_nodes))
-    graph.add_edges_from(topo.edges())
+    adjacency: list[list[int]] = [[] for _ in range(topo.num_nodes)]
+    for a, b in topo.edges():
+        if b not in adjacency[a]:
+            adjacency[a].append(b)
+        if a not in adjacency[b]:
+            adjacency[b].append(a)
     paths: dict[tuple[int, int], list[int]] = {}
     for src in range(topo.num_nodes):
-        # nx BFS is deterministic given sorted adjacency insertion order.
-        for dst, path in nx.single_source_shortest_path(graph, src).items():
+        found = {src: [src]}
+        queue = deque([src])
+        while queue:
+            node = queue.popleft()
+            for nxt in adjacency[node]:
+                if nxt not in found:
+                    found[nxt] = found[node] + [nxt]
+                    queue.append(nxt)
+        for dst, path in found.items():
             paths[(src, dst)] = path
     return paths
 

@@ -27,7 +27,6 @@ from repro.experiments.runner import (
     CORE_STRATEGIES,
     STRATEGIES,
     ExperimentConfig,
-    ExperimentRunner,
     strategy_request,
 )
 from repro.mcm import templates
@@ -373,23 +372,3 @@ class TestSessionDatabase:
         pooled = session.submit(pooled_request)
         assert pooled.same_payload(
             dataclasses.replace(serial, request=pooled_request))
-
-
-class TestLegacyShim:
-    def test_runner_warns_but_works(self, tiny_scenario):
-        with pytest.warns(DeprecationWarning, match="Session"):
-            runner = ExperimentRunner(ExperimentConfig.fast())
-        run = runner.run(tiny_scenario, "het_sides")
-        result = Session().submit(strategy_request(
-            tiny_scenario, "het_sides", "edp", ExperimentConfig.fast()))
-        assert run.metrics == result.metrics
-        assert run.schedule == result.schedule
-        assert run.scar_result is not None
-        assert runner.perf_reports
-        assert runner.perf_summary().num_evaluated > 0
-
-    def test_runner_memo_identity_across_calls(self, tiny_scenario):
-        with pytest.warns(DeprecationWarning):
-            runner = ExperimentRunner(ExperimentConfig.fast())
-        assert runner.run(tiny_scenario, "stand_nvd") \
-            is runner.run(tiny_scenario, "stand_nvd")

@@ -1,56 +1,72 @@
-"""Tests for the experiment runner and the CLI."""
+"""Tests for the experiment strategies and the CLI."""
 
 import argparse
 import json
 
 import pytest
 
+from repro.api import Session
 from repro.cli import _positive_int, build_parser, main
 from repro.errors import ConfigError
 from repro.experiments.runner import (
     CORE_STRATEGIES,
     STRATEGIES,
     ExperimentConfig,
-    ExperimentRunner,
+    strategy_request,
 )
 
 
 @pytest.fixture
-def runner():
-    with pytest.warns(DeprecationWarning):
-        return ExperimentRunner(ExperimentConfig.fast())
+def session():
+    return Session()
+
+
+@pytest.fixture
+def run(session):
+    """Submit one strategy on one scenario to a shared session."""
+
+    def submit(scenario, strategy, objective="edp"):
+        return session.submit(strategy_request(
+            scenario, strategy, objective, ExperimentConfig.fast()))
+
+    return submit
 
 
 class TestRunner:
-    def test_unknown_strategy_rejected(self, runner, tiny_scenario):
+    def test_unknown_strategy_rejected(self, tiny_scenario):
         with pytest.raises(ConfigError):
-            runner.run(tiny_scenario, "magic")
+            strategy_request(tiny_scenario, "magic")
 
-    def test_standalone_strategy(self, runner, tiny_scenario):
-        run = runner.run(tiny_scenario, "stand_nvd")
-        assert run.latency_s > 0
-        assert run.scar_result is None
+    def test_standalone_strategy(self, run, tiny_scenario):
+        result = run(tiny_scenario, "stand_nvd")
+        assert result.latency_s > 0
+        assert result.raw is None
 
-    def test_scar_strategy_carries_population(self, runner, tiny_scenario):
-        run = runner.run(tiny_scenario, "het_sides")
-        assert run.scar_result is not None
-        assert run.scar_result.num_evaluated > 0
+    def test_scar_strategy_carries_population(self, run, tiny_scenario):
+        result = run(tiny_scenario, "het_sides")
+        assert result.raw is not None
+        assert result.raw.num_evaluated > 0
 
-    def test_memoization(self, runner, tiny_scenario):
-        a = runner.run(tiny_scenario, "het_sides")
-        b = runner.run(tiny_scenario, "het_sides")
+    def test_memoization(self, run, tiny_scenario):
+        a = run(tiny_scenario, "het_sides")
+        b = run(tiny_scenario, "het_sides")
         assert a is b
 
-    def test_value_lookup(self, runner, tiny_scenario):
-        run = runner.run(tiny_scenario, "stand_nvd")
-        assert run.value("edp") == pytest.approx(
-            run.value("latency") * run.value("energy"))
+    def test_value_lookup(self, run, tiny_scenario):
+        result = run(tiny_scenario, "stand_nvd")
+        assert result.value("edp") == pytest.approx(
+            result.value("latency") * result.value("energy"))
         with pytest.raises(ConfigError):
-            run.value("power")
+            result.value("power")
 
-    def test_run_many(self, runner, tiny_scenario):
-        runs = runner.run_many(tiny_scenario, ("stand_nvd", "stand_shi"))
-        assert set(runs) == {"stand_nvd", "stand_shi"}
+    def test_run_many(self, session, tiny_scenario):
+        strategies = ("stand_nvd", "stand_shi")
+        results = session.submit_many(
+            [strategy_request(tiny_scenario, name, "edp",
+                              ExperimentConfig.fast())
+             for name in strategies])
+        assert [r.request.template for r in results] == \
+            [STRATEGIES[name][0] for name in strategies]
 
     def test_core_strategies_registered(self):
         assert set(CORE_STRATEGIES) <= set(STRATEGIES)

@@ -195,9 +195,13 @@ class TestValidationAndPlumbing:
         assert SweepSpec.from_dict(data).eval_modes == (None,)
 
     def test_determinism_lint_covers_the_kernel(self):
-        from repro.analysis.determinism import _in_scope
+        from repro.analysis import SourceFile, run_checkers
 
-        assert _in_scope("repro.engine.tensorkernel")
+        snippet = SourceFile("tensorkernel.py",
+                             "import random\nx = random.random()\n",
+                             module="repro.engine.tensorkernel")
+        report = run_checkers([snippet], select=["SCAR002"])
+        assert [f.code for f in report.findings] == ["SCAR002"]
 
 
 class TestMissingNumpy:

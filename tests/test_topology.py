@@ -3,7 +3,11 @@
 import pytest
 
 from repro.errors import HardwareError
-from repro.mcm.topology import Topology, mesh, triangular
+from repro.mcm.topology import Topology, _all_pairs_paths, mesh, triangular
+
+#: (rows, cols) shapes the shortest-path tables are checked on; they
+#: cover the 3x3 and 6x6 templates plus non-square grids.
+_SHAPES = ((3, 3), (6, 6), (2, 5), (4, 4))
 
 
 class TestGeometry:
@@ -82,3 +86,50 @@ class TestRouting:
         topo = triangular(3, 3)
         route = topo.route(2, 6)
         assert route[0][0] == 2 and route[-1][1] == 6
+
+
+def _hop_distances(topo: Topology) -> list[list[float]]:
+    """All-pairs hop counts by Floyd-Warshall, independent of the BFS."""
+    n = topo.num_nodes
+    dist = [[0.0 if a == b else float("inf") for b in range(n)]
+            for a in range(n)]
+    for a, b in topo.edges():
+        dist[a][b] = dist[b][a] = 1.0
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                if dist[i][k] + dist[k][j] < dist[i][j]:
+                    dist[i][j] = dist[i][k] + dist[k][j]
+    return dist
+
+
+class TestShortestPaths:
+    @pytest.mark.parametrize("kind", ["mesh", "triangular"])
+    @pytest.mark.parametrize("rows,cols", _SHAPES)
+    def test_every_hop_is_an_edge_and_paths_are_shortest(
+            self, kind, rows, cols):
+        topo = Topology(rows=rows, cols=cols, kind=kind)
+        edges = {frozenset(edge) for edge in topo.edges()}
+        dist = _hop_distances(topo)
+        paths = _all_pairs_paths(rows, cols, kind)
+        assert len(paths) == topo.num_nodes ** 2
+        for (src, dst), path in paths.items():
+            assert path[0] == src and path[-1] == dst
+            for a, b in zip(path[:-1], path[1:]):
+                assert frozenset((a, b)) in edges
+            assert len(path) - 1 == dist[src][dst]
+
+    @pytest.mark.parametrize("kind", ["mesh", "triangular"])
+    @pytest.mark.parametrize("rows,cols", _SHAPES)
+    def test_paths_and_order_match_networkx(self, kind, rows, cols):
+        nx = pytest.importorskip("networkx")
+        topo = Topology(rows=rows, cols=cols, kind=kind)
+        graph = nx.Graph()
+        graph.add_nodes_from(range(topo.num_nodes))
+        graph.add_edges_from(topo.edges())
+        expected = [
+            ((src, dst), path)
+            for src in range(topo.num_nodes)
+            for dst, path in nx.single_source_shortest_path(
+                graph, src).items()]
+        assert list(_all_pairs_paths(rows, cols, kind).items()) == expected
